@@ -1,11 +1,13 @@
 package repro
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/rmi"
 )
 
 // benchCtx keeps the per-iteration cost of the experiment benchmarks
@@ -229,15 +231,39 @@ func BenchmarkLinearClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkExpCutsBuild measures full ExpCuts construction on CR04.
+// BenchmarkExpCutsBuild measures full ExpCuts construction on CR02, CR04
+// and the ACL1_10K RQ-RMI remainder (the rules no iSet indexes, which the
+// rmi rung builds an ExpCuts tree over).
 func BenchmarkExpCutsBuild(b *testing.B) {
-	rs, _ := benchSet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewExpCuts(rs, ExpCutsConfig{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range []string{"CR02", "CR04", "ACL1_10K_remainder"} {
+		b.Run(name, func(b *testing.B) {
+			rs, err := buildBenchSet(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewExpCuts(rs, ExpCutsConfig{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// buildBenchSet returns a standard set by name, or for "<set>_remainder"
+// the remainder of that set's RQ-RMI index.
+func buildBenchSet(name string) (*RuleSet, error) {
+	set, remainder := strings.CutSuffix(name, "_remainder")
+	rs, err := StandardRuleSet(set)
+	if err != nil || !remainder {
+		return rs, err
+	}
+	x, err := rmi.New(rs, rmi.Config{RemainderAlgos: []string{"linear"}})
+	if err != nil {
+		return nil, err
+	}
+	return x.RemainderRuleSet(), nil
 }
 
 // --- Serving fast path (the tracked baseline behind BENCH_PR3.json) ---

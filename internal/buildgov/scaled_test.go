@@ -40,10 +40,12 @@ func TestScaledBudgetShape(t *testing.T) {
 // per-node constants were calibrated on ≤2k-rule sets and drifted to ~2×
 // under actual peak at 10k–100k rules — trips fired after the blowup, not
 // before. The test lets an ACL-family ExpCuts build run for a fixed slice
-// of wall clock (these sets are exactly the overlap shape that blows trees
-// up, so the build trips its deadline rather than finishing), polls
-// HeapAlloc throughout, and requires estimate and measurement to agree
-// within a band either way. Ratio-based on purpose: wall-clock slices
+// of wall clock or up to a node cap, whichever comes first (these sets are
+// exactly the overlap shape that blows trees up; the cap stops the 100k
+// build, which completes at 191,661 nodes in about 3 s on a 2-vCPU Xeon,
+// before it finishes on a fast host), polls HeapAlloc throughout, and
+// requires estimate and measurement to agree within a band either way.
+// Ratio-based on purpose: wall-clock slices
 // and race-detector slowdowns change how far the build gets, but estimate
 // and actual accrue together. HeapAlloc includes not-yet-collected
 // garbage, which the governor rightly does not charge for, so the test
@@ -85,15 +87,15 @@ func TestEstimateAccuracyAtScale(t *testing.T) {
 			}
 		}()
 
-		budget := &buildgov.Budget{Timeout: 3 * time.Second, MaxHeapBytes: 2 << 30}
+		budget := &buildgov.Budget{Timeout: 3 * time.Second, MaxNodes: 150000, MaxHeapBytes: 2 << 30}
 		_, buildErr := expcuts.NewCtx(context.Background(), rs, expcuts.Config{}, budget)
 		close(stop)
 		<-done
 
-		// Either outcome is fine for the measurement; what must hold is
-		// that a trip, when it happens, is the deadline (the heap limit
-		// here is deliberately unreachable) and the accounting tracked
-		// reality while the build ran.
+		// Either trip is fine for the measurement; what must hold is
+		// that the build tripped the deadline or the node cap (the heap
+		// limit here is deliberately unreachable) and the accounting
+		// tracked reality while the build ran.
 		if buildErr != nil && !errors.Is(buildErr, buildgov.ErrBudgetExceeded) {
 			t.Fatalf("size=%d: unexpected build error: %v", size, buildErr)
 		}

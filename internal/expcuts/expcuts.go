@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bitstring"
@@ -221,6 +222,10 @@ type Tree struct {
 	image     *memlayout.Image
 	rootPtr   uint32
 	nodeAddrs []uint32 // per node: pointer word (channel+offset encoded)
+
+	// boxes[i] is rs.Rules[i].Box(), computed once per build by newTree and
+	// read by every builder; construct drops it when the build ends.
+	boxes []rules.Box
 }
 
 // builder carries the construction state of one build goroutine. Builders
@@ -228,13 +233,74 @@ type Tree struct {
 // building in parallel) and share the governor and the MaxNodes counter,
 // so budget accounting stays exact across the pool.
 type builder struct {
-	t     *Tree
-	gov   *buildgov.Governor
-	memo  map[string]ref // builder-scoped memo (ShareGlobal only)
-	sig   []byte
-	mode  SharingMode
-	nodes []*node
-	count *atomic.Int64 // total nodes across all builders, vs cfg.MaxNodes
+	t      *Tree
+	gov    *buildgov.Governor
+	memo   map[string]ref // builder-scoped memo (ShareGlobal only)
+	sig    []byte
+	mode   SharingMode
+	nodes  []*node
+	count  *atomic.Int64 // total nodes across all builders, vs cfg.MaxNodes
+	levels []cellBuckets // rule distribution scratch, one per tree level
+}
+
+// cellBuckets is the rule distribution of one node. same[c] reports that
+// cell c holds exactly cell c-1's rules and every one of them spans both
+// cells whole along the cut dimension, so the two cells' box-relative
+// geometry, signature and sub-tree are identical. A same cell gets no
+// bucket of its own; any other cell c holds rules[off[c]:off[c+1]], in
+// priority order (see bucket). A builder keeps one cellBuckets per
+// tree level and reuses it for every node at that level: a node's children
+// are finished before its next sibling is expanded.
+type cellBuckets struct {
+	off   []int32 // 2^w+1 bucket offsets
+	diff  []int32 // 2^w+2 difference counts of bucket sizes; fill cursors
+	brk   []int32 // 2^w+2 difference counts of cells that differ from c-1
+	next  []int32 // 2^w+1: the first cell >= c that is not same
+	same  []bool
+	rules []int32
+}
+
+// newTree returns an unbuilt tree carrying the per-build state that every
+// builder reads. It is the one constructor for that state: NewCtx, the
+// parallel build and the tests all start here.
+func newTree(rs *rules.RuleSet, cfg Config) *Tree {
+	boxes := make([]rules.Box, rs.Len())
+	for i := range rs.Rules {
+		boxes[i] = rs.Rules[i].Box()
+	}
+	return &Tree{cfg: cfg, rs: rs, boxes: boxes}
+}
+
+// newBuilder returns a builder over t that charges gov and counts nodes in
+// count, which every builder of one build shares.
+func (t *Tree) newBuilder(gov *buildgov.Governor, count *atomic.Int64) *builder {
+	b := &builder{t: t, mode: t.cfg.Sharing, gov: gov, count: count,
+		levels: make([]cellBuckets, t.Depth())}
+	if b.mode == ShareGlobal {
+		b.memo = make(map[string]ref)
+	}
+	return b
+}
+
+// construct builds the node graph, sequentially or over cfg.BuildWorkers
+// builders, and sets t.nodes and t.root. The per-build state is dropped
+// either way.
+func (t *Tree) construct(gov *buildgov.Governor) error {
+	defer func() { t.boxes = nil }()
+	all := make([]int32, t.rs.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	var count atomic.Int64
+	if t.cfg.BuildWorkers > 1 {
+		root, err := t.buildParallel(gov, &count, all, t.cfg.BuildWorkers)
+		t.root = root
+		return err
+	}
+	b := t.newBuilder(gov, &count)
+	root, err := b.build(0, rules.FullBox(), all, b.memo)
+	t.root, t.nodes = root, b.nodes
+	return err
 }
 
 // New builds an ExpCuts tree over the rule set and serializes it.
@@ -254,30 +320,9 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 	if err := rs.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Tree{cfg: cfg, rs: rs}
-	gov := buildgov.Start(ctx, budget)
-	all := make([]int32, rs.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	var count atomic.Int64
-	if cfg.BuildWorkers > 1 {
-		root, err := t.buildParallel(gov, &count, all, cfg.BuildWorkers)
-		if err != nil {
-			return nil, err
-		}
-		t.root = root
-	} else {
-		b := &builder{t: t, mode: cfg.Sharing, gov: gov, count: &count}
-		if b.mode == ShareGlobal {
-			b.memo = make(map[string]ref)
-		}
-		root, err := b.build(0, rules.FullBox(), all, b.memo)
-		if err != nil {
-			return nil, err
-		}
-		t.root = root
-		t.nodes = b.nodes
+	t := newTree(rs, cfg)
+	if err := t.construct(buildgov.Start(ctx, budget)); err != nil {
+		return nil, err
 	}
 	if !cfg.noLevelMajor {
 		t.reorderLevelMajor()
@@ -305,7 +350,7 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 	// Rule overlap pruning: a rule covering the whole box shadows all
 	// lower-priority rules.
 	for k, ri := range ruleIdx {
-		if t.rs.Rules[ri].Box().Covers(box) {
+		if t.boxes[ri].Covers(box) {
 			ruleIdx = ruleIdx[:k+1]
 			break
 		}
@@ -318,16 +363,17 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 	// intersecting rule covers it (then it wins everywhere inside), or
 	// all 104 bits are consumed (the box is a single point, which every
 	// remaining rule covers).
-	if pos >= rules.KeyBits || t.rs.Rules[top].Box().Covers(box) {
+	if pos >= rules.KeyBits || t.boxes[top].Covers(box) {
 		return refLeaf(int(top)), nil
 	}
 
 	var key string
 	if memo != nil {
-		key = b.signature(pos, box, ruleIdx)
-		if r, ok := memo[key]; ok {
+		sig := b.signature(pos, box, ruleIdx)
+		if r, ok := memo[string(sig)]; ok {
 			return r, nil
 		}
+		key = string(sig) // b.sig is reused by the children
 	}
 
 	w := t.cfg.StrideW
@@ -335,33 +381,33 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 	cells := 1 << w
 	log2cw := uint(rules.DimBits[dim]) - (pos - rules.DimOffset[dim]) - w
 
-	// Distribute rules to cells along dim.
-	cellRules := make([][]int32, cells)
-	boxLo := box[dim].Lo
-	for _, ri := range ruleIdx {
-		clip, ok := t.rs.Rules[ri].Span(dim).Intersect(box[dim])
-		if !ok {
-			continue
-		}
-		lo := int(uint64(clip.Lo-boxLo) >> log2cw)
-		hi := int(uint64(clip.Hi-boxLo) >> log2cw)
-		for c := lo; c <= hi; c++ {
-			cellRules[c] = append(cellRules[c], ri)
-		}
-	}
-
 	childMemo := memo // ShareGlobal: one map for the whole tree
 	if b.mode == ShareSiblings {
 		childMemo = make(map[string]ref)
 	}
+	lv := &b.levels[pos/w]
+	lv.distribute(t.boxes, box, dim, log2cw, cells, ruleIdx)
+
+	boxLo := box[dim].Lo
 	n := &node{level: int(pos / w), ptrs: make([]ref, cells)}
+	var cellRules []int32
 	for c := 0; c < cells; c++ {
+		if !lv.same[c] {
+			cellRules = lv.rules[lv.off[c]:lv.off[c+1]]
+		} else if childMemo != nil {
+			// Cell c would compute cell c-1's signature and hit the memo
+			// entry cell c-1 left (or resolve to the same leaf).
+			n.ptrs[c] = n.ptrs[c-1]
+			continue
+		}
+		// Under ShareNone a same cell is built on its own, from the rules
+		// of the last cell that had a bucket.
 		cellBox := box
 		cellBox[dim] = rules.Span{
 			Lo: boxLo + uint32(uint64(c)<<log2cw),
 			Hi: boxLo + uint32(uint64(c+1)<<log2cw) - 1,
 		}
-		child, err := b.build(pos+w, cellBox, cellRules[c], childMemo)
+		child, err := b.build(pos+w, cellBox, cellRules, childMemo)
 		if err != nil {
 			return 0, err
 		}
@@ -391,17 +437,103 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 	return id, nil
 }
 
+// distribute spreads ruleIdx (all intersecting box) over the 2^w cells of
+// box cut along dim, each cell 2^log2cw values wide. A rule wide along dim
+// touches many cells, most of them same, so same cells get no bucket and
+// the fill skips them through the next chain: filling every cell instead
+// makes CR02, CR04 and ACL1_10K-remainder builds 1.3×, 1.25× and 1.5×
+// slower (BenchmarkExpCutsBuild, 2-vCPU Xeon).
+//
+// Two difference arrays make it linear in rules plus cells. A rule whose
+// clip touches cells [lo, hi] and covers cells [flo, fhi] whole adds one
+// to the bucket size of [lo, hi], and marks cell c as differing from c-1
+// for every c in [lo, flo] or [fhi+1, hi+1]: those are exactly the pairs
+// (c-1, c) where the rule touches either cell without covering both.
+func (lv *cellBuckets) distribute(boxes []rules.Box, box rules.Box, dim rules.Dim, log2cw uint, cells int, ruleIdx []int32) {
+	if lv.off == nil {
+		lv.off = make([]int32, cells+1)
+		lv.diff = make([]int32, cells+2)
+		lv.brk = make([]int32, cells+2)
+		lv.next = make([]int32, cells+1)
+		lv.next[cells] = int32(cells)
+		lv.same = make([]bool, cells)
+	}
+	clear(lv.diff)
+	clear(lv.brk)
+	boxLo := box[dim].Lo
+	mask := uint32(uint64(1)<<log2cw - 1)
+	for _, ri := range ruleIdx {
+		clip, _ := boxes[ri][dim].Intersect(box[dim])
+		lo := int((clip.Lo - boxLo) >> log2cw)
+		hi := int((clip.Hi - boxLo) >> log2cw)
+		flo, fhi := lo, hi
+		if (clip.Lo-boxLo)&mask != 0 {
+			flo++
+		}
+		if (clip.Hi-boxLo)&mask != mask {
+			fhi--
+		}
+		lv.diff[lo]++
+		lv.diff[hi+1]--
+		lv.brk[lo]++
+		lv.brk[flo+1]--
+		lv.brk[fhi+1]++
+		lv.brk[hi+2]--
+	}
+	// Prefix sums: bucket sizes and offsets. diff[c] becomes cell c's fill
+	// cursor.
+	size, brk, total := int32(0), int32(0), int32(0)
+	for c := 0; c < cells; c++ {
+		size += lv.diff[c]
+		brk += lv.brk[c]
+		lv.same[c] = c > 0 && brk == 0
+		lv.off[c] = total
+		lv.diff[c] = total
+		if !lv.same[c] {
+			total += size
+		}
+	}
+	lv.off[cells] = total
+	for c := cells - 1; c >= 0; c-- {
+		lv.next[c] = int32(c)
+		if lv.same[c] {
+			lv.next[c] = lv.next[c+1]
+		}
+	}
+	lv.rules = slices.Grow(lv.rules[:0], int(total))[:total]
+	for _, ri := range ruleIdx {
+		clip, _ := boxes[ri][dim].Intersect(box[dim])
+		lo := int((clip.Lo - boxLo) >> log2cw)
+		hi := int((clip.Hi - boxLo) >> log2cw)
+		for c := int(lv.next[lo]); c <= hi; c = int(lv.next[c+1]) {
+			lv.rules[lv.diff[c]] = ri
+			lv.diff[c]++
+		}
+	}
+}
+
+// bucket returns cell c's rules: its own bucket, or for a same cell the
+// bucket of the nearest cell before it that has one (cell 0 always does).
+func (lv *cellBuckets) bucket(c int) []int32 {
+	for lv.same[c] {
+		c--
+	}
+	return lv.rules[lv.off[c]:lv.off[c+1]]
+}
+
 // Estimated per-entry heap costs used by the governor's byte accounting.
 // A node charges cells*8 + nodeOverheadBytes: the live ptrs array is
-// cells*4, and the other cells*4 amortizes the per-cell rule-distribution
-// slices the builder allocates while expanding the node — transient, but
-// what actually drives peak heap during a blowup. Calibrated against
-// measured peak HeapAlloc on ACL-family builds at 10k/100k rules, where
-// the previous cells*4+48 charge ran ~4× under the real peak in the
-// early, rule-heavy phase of the build (trips fired *after* the blowup);
-// with this accounting the estimate stays within the 3× band buildgov's
-// TestEstimateAccuracyAtScale enforces, converging to ~1× over long
-// builds.
+// cells*4, and the other cells*4 amortized the per-cell rule-distribution
+// slices the builder once allocated while expanding each node. Calibrated
+// against measured peak HeapAlloc on ACL-family builds at 10k/100k rules,
+// where the previous cells*4+48 charge ran ~4× under the real peak in the
+// early, rule-heavy phase of the build (trips fired *after* the blowup).
+// The builder now distributes rules into per-level scratch instead, so the
+// same charge over-counts a little (416/475 MB charged against a measured
+// 244/310 MB peak after the first 150,000 nodes of 10k/100k builds, inside
+// the 3× band buildgov's TestEstimateAccuracyAtScale enforces). It is kept
+// unchanged so that a budget trips on the same accounting as before; only
+// how much a build gets through before its deadline has moved.
 const (
 	nodeOverheadBytes = 256
 	memoOverheadBytes = 64
@@ -412,20 +544,21 @@ const (
 // sub-spaces with equal signatures have identical sub-trees: all boxes at
 // one bit position are translates of the same shape, lookups index children
 // by key-bit extraction (box-independent), and the relative geometry fixes
-// every later cut decision.
-func (b *builder) signature(pos uint, box rules.Box, ruleIdx []int32) string {
-	sig := b.sig[:0]
-	sig = binary.AppendUvarint(sig, uint64(pos))
+// every later cut decision. The key lives in b.sig until the next call, so
+// a memo probe with string(sig) allocates nothing.
+func (b *builder) signature(pos uint, box rules.Box, ruleIdx []int32) []byte {
+	sig := binary.AppendUvarint(b.sig[:0], uint64(pos))
 	for _, ri := range ruleIdx {
 		sig = binary.AppendUvarint(sig, uint64(ri))
-		for d := 0; d < rules.NumDims; d++ {
-			clip, _ := b.t.rs.Rules[ri].Span(rules.Dim(d)).Intersect(box[d])
+		rb := &b.t.boxes[ri]
+		for d := range rb {
+			clip, _ := rb[d].Intersect(box[d])
 			sig = binary.AppendUvarint(sig, uint64(clip.Lo-box[d].Lo))
 			sig = binary.AppendUvarint(sig, uint64(clip.Hi-box[d].Lo))
 		}
 	}
 	b.sig = sig
-	return string(sig)
+	return sig
 }
 
 // dimOfBit returns the dimension owning key bit position pos.
@@ -520,8 +653,12 @@ func (t *Tree) collectStats() {
 	for _, n := range t.nodes {
 		st.NodesPerLevel[n.level]++
 		clear(distinct)
-		for _, p := range n.ptrs {
-			distinct[p] = true
+		for i, p := range n.ptrs {
+			// Equal neighbours are common (sibling reuse, runs of one
+			// leaf); skipping them spares most of the map writes.
+			if i == 0 || p != n.ptrs[i-1] {
+				distinct[p] = true
+			}
 		}
 		uniqueTotal += len(distinct)
 		// Aggregated: 1 HABS word + one 2^u-pointer sub-array per set bit.

@@ -30,7 +30,7 @@ func (t *Tree) buildParallel(gov *buildgov.Governor, count *atomic.Int64, all []
 	// Root terminal cases, mirroring the top of builder.build.
 	box := rules.FullBox()
 	for k, ri := range all {
-		if t.rs.Rules[ri].Box().Covers(box) {
+		if t.boxes[ri].Covers(box) {
 			all = all[:k+1]
 			break
 		}
@@ -38,7 +38,7 @@ func (t *Tree) buildParallel(gov *buildgov.Governor, count *atomic.Int64, all []
 	if len(all) == 0 {
 		return refNoMatch, nil
 	}
-	if t.rs.Rules[all[0]].Box().Covers(box) {
+	if t.boxes[all[0]].Covers(box) {
 		return refLeaf(int(all[0])), nil
 	}
 
@@ -46,19 +46,9 @@ func (t *Tree) buildParallel(gov *buildgov.Governor, count *atomic.Int64, all []
 	dim := dimOfBit(0)
 	cells := 1 << w
 	log2cw := uint(rules.DimBits[dim]) - w
-	cellRules := make([][]int32, cells)
+	var rootCells cellBuckets
+	rootCells.distribute(t.boxes, box, dim, log2cw, cells, all)
 	boxLo := box[dim].Lo
-	for _, ri := range all {
-		clip, ok := t.rs.Rules[ri].Span(dim).Intersect(box[dim])
-		if !ok {
-			continue
-		}
-		lo := int(uint64(clip.Lo-boxLo) >> log2cw)
-		hi := int(uint64(clip.Hi-boxLo) >> log2cw)
-		for c := lo; c <= hi; c++ {
-			cellRules[c] = append(cellRules[c], ri)
-		}
-	}
 
 	if workers > cells {
 		workers = cells
@@ -72,10 +62,7 @@ func (t *Tree) buildParallel(gov *buildgov.Governor, count *atomic.Int64, all []
 	chunks := make([]*chunk, workers)
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
-		cb := &builder{t: t, mode: t.cfg.Sharing, gov: gov, count: count}
-		if cb.mode == ShareGlobal {
-			cb.memo = make(map[string]ref)
-		}
+		cb := t.newBuilder(gov, count)
 		ck := &chunk{b: cb, lo: k * cells / workers, hi: (k + 1) * cells / workers}
 		ck.children = make([]ref, ck.hi-ck.lo)
 		chunks[k] = ck
@@ -90,12 +77,16 @@ func (t *Tree) buildParallel(gov *buildgov.Governor, count *atomic.Int64, all []
 				childMemo = make(map[string]ref)
 			}
 			for c := ck.lo; c < ck.hi; c++ {
+				if c > ck.lo && rootCells.same[c] && childMemo != nil {
+					ck.children[c-ck.lo] = ck.children[c-ck.lo-1]
+					continue
+				}
 				cellBox := box
 				cellBox[dim] = rules.Span{
 					Lo: boxLo + uint32(uint64(c)<<log2cw),
 					Hi: boxLo + uint32(uint64(c+1)<<log2cw) - 1,
 				}
-				r, err := cb.build(w, cellBox, cellRules[c], childMemo)
+				r, err := cb.build(w, cellBox, rootCells.bucket(c), childMemo)
 				if err != nil {
 					ck.err = err
 					return

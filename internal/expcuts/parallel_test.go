@@ -3,13 +3,11 @@ package expcuts
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/buildgov"
 	"repro/internal/rulegen"
-	"repro/internal/rules"
 )
 
 // TestArenaMatchesGraphWalk cross-checks the flat-arena Classify against
@@ -114,32 +112,42 @@ func TestParallelBuildChargesAreExact(t *testing.T) {
 	rs := buildSet(t, rulegen.CoreRouter, 500, 321)
 	for _, workers := range []int{1, 2, 4, 8} {
 		gov := buildgov.Start(context.Background(), &buildgov.Budget{})
-		cfg := Config{Sharing: ShareGlobal}
+		cfg := Config{Sharing: ShareGlobal, BuildWorkers: workers}
 		if err := cfg.fillDefaults(); err != nil {
 			t.Fatal(err)
 		}
-		tree := &Tree{cfg: cfg, rs: rs}
-		all := make([]int32, rs.Len())
-		for i := range all {
-			all[i] = int32(i)
-		}
-		var cnt atomic.Int64
-		var err error
-		if workers > 1 {
-			tree.root, err = tree.buildParallel(gov, &cnt, all, workers)
-		} else {
-			b := &builder{t: tree, mode: cfg.Sharing, gov: gov, count: &cnt,
-				memo: make(map[string]ref)}
-			tree.root, err = b.build(0, rules.FullBox(), all, b.memo)
-			tree.nodes = b.nodes
-		}
-		if err != nil {
+		tree := newTree(rs, cfg)
+		if err := tree.construct(gov); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got, want := gov.Stats().Nodes, len(tree.nodes); got != want {
 			t.Fatalf("workers=%d: governor charged %d nodes, tree has %d (lost or double-counted)",
 				workers, got, want)
 		}
+	}
+}
+
+// TestBuildChargesPinned pins every charge a sequential CR02 build makes
+// through the governor — nodes, memo entries and estimated heap bytes — to
+// the values of the builder that recursed into every cell. Builder speedups
+// may change when a wall-clock budget trips, never what the build is
+// charged for.
+func TestBuildChargesPinned(t *testing.T) {
+	rs, err := rulegen.Standard("CR02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{}
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	gov := buildgov.Start(context.Background(), &buildgov.Budget{})
+	if err := newTree(rs, cfg).construct(gov); err != nil {
+		t.Fatal(err)
+	}
+	st := gov.Stats()
+	if st.Nodes != 4073 || st.MemoEntries != 4073 || st.HeapBytes != 10862550 {
+		t.Fatalf("charges %s, want nodes=4073 memo=4073 heap≈10862550B", st)
 	}
 }
 

@@ -61,6 +61,11 @@ func (t *Tree) serialize() error {
 	return nil
 }
 
+// RootPtr returns the root pointer word of the serialized image: the entry
+// point a loader needs next to Image (a leaf pointer when the whole space
+// resolves to one verdict).
+func (t *Tree) RootPtr() uint32 { return t.rootPtr }
+
 // refToPtr converts an in-memory child reference to its pointer word. Node
 // references require the node to have been placed already (levels are
 // serialized bottom-up).

@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/buildgov"
@@ -101,6 +102,7 @@ type Stats struct {
 // Index is the built classifier. Immutable after construction and safe
 // for concurrent use.
 type Index struct {
+	name   string // rule-set name
 	rules  []rules.Rule
 	isets  []iset
 	rem    classifier
@@ -137,7 +139,7 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 	if err != nil {
 		return nil, err
 	}
-	x := &Index{rules: rs.Rules, isets: sets}
+	x := &Index{name: rs.Name, rules: rs.Rules, isets: sets}
 	for i := range x.isets {
 		s := &x.isets[i]
 		if err := gov.Nodes(len(s.lo), int64(s.bytes())); err != nil {
@@ -162,14 +164,10 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 		if err := gov.Bytes(int64(len(remIdx) * (4 + sizeofRule))); err != nil {
 			return nil, err
 		}
-		remRules := make([]rules.Rule, len(remIdx))
-		x.remPos = make([]int32, len(remIdx))
-		for i, ri := range remIdx {
-			remRules[i] = rs.Rules[ri]
-			x.remPos[i] = ri // remIdx is in original order → increasing
-		}
-		rrs := rules.NewRuleSet(rs.Name+"+rem", remRules)
-		rem, algo, err := buildRemainder(ctx, rrs, cfg.RemainderAlgos, budget)
+		// remIdx is in original order → increasing. Copy it: it shares the
+		// all-rules array extraction filtered in place.
+		x.remPos = slices.Clone(remIdx)
+		rem, algo, err := buildRemainder(ctx, x.RemainderRuleSet(), cfg.RemainderAlgos, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -207,6 +205,17 @@ func buildRemainder(ctx context.Context, rrs *rules.RuleSet, algos []string, bud
 		}
 	}
 	return nil, "", fmt.Errorf("rmi: remainder build failed: %w", lastErr)
+}
+
+// RemainderRuleSet returns the rules no iSet indexes, in priority order:
+// the rule set the remainder classifier is built over. It is empty when
+// every rule is indexed.
+func (x *Index) RemainderRuleSet() *rules.RuleSet {
+	rem := make([]rules.Rule, len(x.remPos))
+	for i, ri := range x.remPos {
+		rem[i] = x.rules[ri]
+	}
+	return rules.NewRuleSet(x.name+"+rem", rem)
 }
 
 // Name identifies the algorithm.
